@@ -1,6 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one paper artefact (DESIGN.md §4): it runs the
+Every benchmark regenerates one paper artefact (indexed in
+``repro.experiments.report.EXPERIMENT_SPECS``): it runs the
 experiment once inside pytest-benchmark's timer, prints the regenerated
 table, and asserts the expected *shape* (who wins, by what kind of factor)
 via the experiment's ``check_shape``.

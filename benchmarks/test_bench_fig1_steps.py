@@ -1,4 +1,5 @@
-"""F1 — regenerate the Fig. 1 step timeline (DESIGN.md experiment F1)."""
+"""F1 — regenerate the Fig. 1 step timeline (the report's F1 section, ahead
+of the experiments indexed in ``repro.experiments.report.EXPERIMENT_SPECS``)."""
 
 from repro.experiments.fig1 import run_fig1_walkthrough
 from repro.metrics import format_table

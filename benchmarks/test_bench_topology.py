@@ -3,9 +3,10 @@
 BENCH tracks internet-shaped world construction: :func:`repro.net.topogen.build`
 with the tiered family at 1k and 4k stub sites, covering the tier-0 clique,
 transit attachment, IXP wiring, and the hierarchical route install.  The
-scaling gate asserts the whole point of :class:`HierarchicalRoutingPlan`:
-growing the world 4x may not cost anywhere near the 16x a full all-pairs
-Dijkstra over the provider mesh would (observed locally: ~4.5x).
+scaling gate asserts the whole point of routing a tiered layout through
+:class:`~repro.net.routing.RoutingPlan`: growing the world 4x may not cost
+anywhere near the 16x a full all-pairs Dijkstra over the provider mesh
+would (observed locally: ~4.5x).
 """
 
 import os
@@ -37,7 +38,7 @@ def test_bench_tiered_build(benchmark, sites):
     topology = benchmark.pedantic(_build_tiered, args=(sites,),
                                   rounds=1, iterations=1)
     assert len(topology.sites) == sites
-    assert topology.tier_layout is not None
+    assert len(topology.tier_layout.tiers) == 3
     assert topology.ix_routers
     fib_total = sum(len(p.fib) for p in topology.providers)
     print(f"\n  {sites} sites: {len(topology.providers)} providers, "

@@ -2,7 +2,7 @@
 
 BENCH tracks the *build* path from this PR on: provider-mesh route
 installation through the memoized :class:`~repro.net.routing.RoutingPlan`
-at 60/120/500 sites, full scenario builds, and the checkpoint-restore
+(one-tier layout) at 60/120/500 sites, full scenario builds, and the checkpoint-restore
 world reuse that the sweep workers lean on.  The reuse benchmark enforces
 the sweep engine's contract: restoring a cached world must be at least 5x
 faster than building it (observed: >30x at 120 sites).
@@ -16,7 +16,7 @@ import pytest
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.worldbuild import WorldBuilder, build_world
 from repro.net.routing import install_mesh_routes
-from repro.net.topology import build_topology
+from repro.net.topogen import TopologySpec, build
 from repro.sim import Simulator
 
 SITE_COUNTS = (60, 120, 500)
@@ -29,7 +29,7 @@ SPEEDUP_FLOOR = float(os.environ.get("REPRO_SPEEDUP_FLOOR", "5.0"))
 
 def _build_topology(sites):
     sim = Simulator(seed=11, tracing=False)
-    return build_topology(sim, num_sites=sites, num_providers=8)
+    return build(sim, TopologySpec(num_sites=sites, num_providers=8))
 
 
 @pytest.mark.parametrize("sites", SITE_COUNTS)

@@ -1,4 +1,7 @@
-"""Experiment drivers: one module per paper artefact (see DESIGN.md §4).
+"""Experiment drivers: one module per paper artefact.
+
+``repro.experiments.report.EXPERIMENT_SPECS`` indexes them against the
+paper's claims.
 
 Each driver exposes a ``run(...)`` function returning plain dict/list
 results, consumed both by the benchmark harness under ``benchmarks/`` and

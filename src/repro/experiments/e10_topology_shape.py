@@ -7,19 +7,18 @@ transit, IXPs, and multihomed stubs, plus the CAIDA-skewed preset where a
 few megaproviders attract most customers.
 
 Expected shape: the tiered families derive a far larger transit population
-than the flat mesh's four providers, route hierarchically (core-only
-tables + aggregation — the plan type is part of the row), and still
-deliver the workload: resolution succeeds, setup completes, and byte
-accounting stays conserved on every family.  Path stretch shows up as
-higher provider-to-provider delay estimates on tiered fabrics (transit
-chains and IX hops) than inside a flat clique.
+than the flat mesh's four providers, route hierarchically (more than one
+tier: core-only tables + aggregation — whether the layout is tiered is part
+of the row), and still deliver the workload: resolution succeeds, setup
+completes, and byte accounting stays conserved on every family.  Path
+stretch shows up as higher provider-to-provider delay estimates on tiered
+fabrics (transit chains and IX hops) than inside a flat clique.
 """
 
 from dataclasses import dataclass
 
 from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.experiments.workload import WorkloadConfig, run_workload
-from repro.net.routing import HierarchicalRoutingPlan
 
 
 @dataclass
@@ -95,8 +94,7 @@ def run_e10(num_sites=12, num_flows=30, seed=71, families=DEFAULT_FAMILIES,
                 system=system, topology=family, num_sites=num_sites,
                 providers=len(topology.providers),
                 ixps=len(topology.ix_routers),
-                hierarchical=isinstance(topology.routing_plan(),
-                                        HierarchicalRoutingPlan),
+                hierarchical=len(topology.tier_layout.tiers) > 1,
                 flows=len(records),
                 flows_failed=sum(1 for r in records if r.failed),
                 mesh_delay_mean=_mesh_delay_mean(topology),
@@ -123,7 +121,7 @@ def check_shape(rows):
         tiered_family = row.topology in ("tiered", "caida")
         if tiered_family != row.hierarchical:
             failures.append(
-                f"{row.system}/{row.topology}: wrong routing plan kind")
+                f"{row.system}/{row.topology}: wrong tier structure")
         if tiered_family and row.ixps < 1:
             failures.append(f"{row.system}/{row.topology}: no IXPs generated")
     for system in sorted({row.system for row in rows}):

@@ -1,10 +1,11 @@
 """E5 — control-plane cost: messages, bytes and per-router state vs scale.
 
-Expected shape (DESIGN.md §4): NERD's state grows with the total number of
-EID prefixes on *every* router and its push bytes dominate; ALT/CONS hold
-modest overlay state but pay per-resolution message chains; the PCE control
-plane's messages scale with flow arrivals (one port-P message plus one push
-per ITR) and its state with *active* mappings only.
+Expected shape (indexed in ``report.EXPERIMENT_SPECS``): NERD's state grows
+with the total number of EID prefixes on *every* router and its push bytes
+dominate; ALT/CONS hold modest overlay state but pay per-resolution message
+chains; the PCE control plane's messages scale with flow arrivals (one
+port-P message plus one push per ITR) and its state with *active* mappings
+only.
 """
 
 from dataclasses import dataclass

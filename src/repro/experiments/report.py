@@ -41,8 +41,9 @@ def generate_report(seed=11, out=None):
     all_ok = True
     buffer.write("# Reproduction report\n\n")
     buffer.write("Regenerated by `python -m repro report`.  One section per "
-                 "paper artefact; see DESIGN.md §4 for the index and "
-                 "EXPERIMENTS.md for interpretation.\n")
+                 "paper artefact; `repro.experiments.report.EXPERIMENT_SPECS` "
+                 "is the index, and each experiment module's docstring "
+                 "states the expected shape.\n")
 
     from repro.experiments.fig1 import run_fig1_walkthrough
 

@@ -117,7 +117,7 @@ class ScenarioConfig:
         """The :class:`~repro.net.topogen.TopologySpec` this config builds.
 
         Family-name configs map their loose sizing fields onto the spec
-        (the historical ``build_topology`` kwargs); spec-carrying configs
+        (the flat-family sizing knobs); spec-carrying configs
         pass the spec through.  ``num_sites``/``num_providers`` are left to
         the ``fig1`` family's fixed Fig. 1 cast, as before.
         """

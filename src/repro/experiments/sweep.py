@@ -651,11 +651,6 @@ def iter_jsonl(path):
             yield entry
 
 
-def read_jsonl(path):
-    """Parse a per-cell JSONL artifact back into a list of result dicts."""
-    return list(iter_jsonl(path))
-
-
 def run_sweep(grid, workers=1, json_path=None, csv_path=None, jsonl_path=None,
               max_worlds=DEFAULT_MAX_WORLDS, include_cells=True,
               snapshot_dir=None):
@@ -907,11 +902,6 @@ def write_csv_stream(results, path):
     with CsvStreamWriter(path) as writer:
         for cell in results:
             writer.add(cell)
-
-
-def write_csv(payload, path):
-    """Write the per-cell CSV from an assembled payload (compat wrapper)."""
-    write_csv_stream(iter(payload["cells"]), path)
 
 
 # --------------------------------------------------------------------- #

@@ -10,10 +10,11 @@ workload they run — so the world can be built once and recycled.
 
 The mechanism is checkpoint/restore rather than rebuild:
 
-- :func:`build_world` builds a scenario (through the memoized
-  :class:`~repro.net.routing.RoutingPlan` route build), settles any
-  deployment-time events, and captures a checkpoint of every stateful
-  component (``Scenario.stateful_components``).
+- :func:`build_world` builds a scenario (routes come from the topology's
+  memoized :class:`~repro.net.routing.RoutingPlan`, which follows its
+  :class:`~repro.net.routing.TierLayout` — one tier for flat and Fig. 1
+  worlds), settles any deployment-time events, and captures a checkpoint
+  of every stateful component (``Scenario.stateful_components``).
 - :func:`restore_world` puts all of them back — simulator clock, RNG
   stream states, FIB dynamic entries, map-caches, DNS caches, counters,
   link stats — so a restored world is byte-for-byte the world the build
@@ -136,8 +137,11 @@ SNAPSHOT_MAGIC = b"repro-world-snapshot\n"
 #: :class:`~repro.experiments.scenario.ScenarioConfig` grew the
 #: ``topology`` family field (world keys shifted) and tiered worlds carry
 #: a :class:`~repro.net.routing.TierLayout` plus hierarchical routing
-#: plans and IX routers in the pickled graph.
-SNAPSHOT_SCHEMA = 5
+#: plans and IX routers in the pickled graph.  v6: one routing plan — flat
+#: and Fig. 1 worlds carry a one-tier ``TierLayout`` too, and the class
+#: name ``RoutingPlan`` now names the layout-driven plan, so a v5 blob
+#: must be rebuilt rather than unpickled into it.
+SNAPSHOT_SCHEMA = 6
 
 
 def _without_gc(func, *args, **kwargs):

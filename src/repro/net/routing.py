@@ -1,32 +1,31 @@
-"""Route computation for the provider core.
+"""Route computation for the global routing domain.
 
-The global routing domain consists of the provider routers, connected in a
-random-delay full mesh (built in :mod:`repro.net.topology`).  Site prefixes
+The global routing domain consists of the provider routers (plus, in tiered
+internets, the IX routers where transit providers peer).  Site prefixes
 (infrastructure and, optionally, EID space) are *attached* to a home
-provider; this module computes shortest paths over the mesh and installs,
-in every provider router's FIB:
+provider; this module installs, in the provider routers' FIBs:
 
 - each provider's own /8 locator block,
 - every attachment's prefix, pointing toward the home provider and, at the
   home provider itself, out of the access interface.
 
-The heavy lifting lives in :class:`RoutingPlan`: per-provider shortest-path
-tables computed **once** per mesh, memoized against a topology fingerprint,
-and reused both for incremental attachment installs (insert routes for new
-prefixes without re-running Dijkstra) and for O(1) pairwise delay queries
-(:meth:`RoutingPlan.delay`), which the IRC engine hits per site pair during
-every topology build.
+One class does this for every topology family: :class:`RoutingPlan`,
+driven by the :class:`TierLayout` each topology carries.  It keeps
+shortest-path tables only for the tier-0 clique (the default-free core),
+gives every lower-tier provider a default route up its cheapest transit
+chain, and aggregates at tier boundaries — a stub's locator /32s collapse
+into its transit provider's /8 aggregate above the boundary, so
+per-attachment install cost is O(chain depth + |core|).  Flat and Fig. 1
+worlds pass a one-tier layout (every provider in the core, no uplinks, no
+IXs), where the plan is plain all-pairs shortest paths over the provider
+mesh.  Tables are computed once per mesh, memoized against a topology
+fingerprint, and reused both for incremental attachment installs and for
+pairwise delay queries (:meth:`RoutingPlan.delay`), which the IRC engine
+hits per site pair during every topology build.
 
-Tiered internets (see :mod:`repro.net.topogen`) do not run all-pairs
-Dijkstra at all: :class:`HierarchicalRoutingPlan` keeps shortest-path
-tables only for the tier-0 clique (the default-free core), gives every
-lower-tier provider a default route up its cheapest transit chain, and
-aggregates at tier boundaries — a stub's locator /32s collapse into its
-transit provider's /8 aggregate above the boundary, so per-attachment
-install cost is O(chain depth + |core|) instead of O(|providers|).  Both
-plan classes share the fingerprint / ``install`` / ``delay`` contracts, so
-``Topology.install_global_routes`` and ``provider_mesh_delay`` work
-unchanged on either.
+:func:`install_mesh_routes` and :func:`path_delay` are from-scratch
+Dijkstra references that go through no plan class; tests check the plan
+against them.
 
 Intra-site routing is installed explicitly by the topology builder — sites
 are stubs and must never transit traffic, which a blind shortest-path
@@ -92,7 +91,7 @@ def mesh_fingerprint(routers):
 
     Two fingerprints are equal iff the routers, their mesh links and the
     link delays are identical — the exact conditions under which a
-    :class:`RoutingPlan`'s shortest-path tables stay valid.  Access links
+    :class:`RoutingPlan`'s tables stay valid.  Access links
     toward sites and infrastructure hosts do not participate (their peers
     are not mesh members), so attaching new sites never invalidates a plan.
     """
@@ -102,68 +101,6 @@ def mesh_fingerprint(routers):
          tuple(sorted((peer.name, delay, iface.name)
                       for peer, delay, iface in edges)))
         for router, edges in adjacency.items())
-
-
-class RoutingPlan:
-    """Shortest-path tables over the provider mesh, computed once.
-
-    The plan runs one Dijkstra per provider at construction and answers
-    every later question from the tables:
-
-    - :meth:`install` inserts FIB routes for a batch of attachments without
-      recomputing anything, which is what makes attachment installs
-      incremental (the old ``install_mesh_routes`` re-ran the all-pairs
-      computation for every batch);
-    - :meth:`delay` / :meth:`next_hop` are O(1) dict lookups.
-
-    ``fingerprint`` captures the mesh the tables were computed over;
-    holders (see :meth:`~repro.net.topology.Topology.routing_plan`) compare
-    it against :func:`mesh_fingerprint` to decide whether a cached plan is
-    still valid.
-    """
-
-    def __init__(self, providers, fingerprint=None):
-        self.providers = list(providers)
-        self.fingerprint = (fingerprint if fingerprint is not None
-                            else mesh_fingerprint(self.providers))
-        adjacency = build_adjacency(self.providers)
-        self._next_hops = {router: shortest_path_next_hops(adjacency, router)
-                           for router in self.providers}
-
-    def next_hop(self, router, owner):
-        """``(first_hop_iface, total_delay)`` from *router* toward *owner*.
-
-        None when *owner* is unreachable (or is *router* itself).
-        """
-        return self._next_hops[router].get(owner)
-
-    def delay(self, source, destination):
-        """Shortest-path delay between two mesh routers (None if unreachable)."""
-        if source is destination:
-            return 0.0
-        entry = self._next_hops[source].get(destination)
-        return entry[1] if entry is not None else None
-
-    def install(self, owned_prefixes):
-        """Install FIB routes for *owned_prefixes* using the cached tables.
-
-        ``owned_prefixes`` is ``[(prefix, owner_router, local_iface_or_None)]``
-        with the same semantics as :func:`install_mesh_routes`.  Re-installing
-        a prefix replaces the previous entry, so calls are idempotent.
-        """
-        for prefix, owner, local_iface in owned_prefixes:
-            hops_to_owner = self._next_hops
-            for router in self.providers:
-                if router is owner:
-                    if local_iface is not None:
-                        router.fib.insert(FibEntry(prefix, local_iface))
-                    continue
-                hop = hops_to_owner[router].get(owner)
-                if hop is None:
-                    continue
-                iface, distance = hop
-                router.fib.insert(FibEntry(prefix, iface, next_hop=owner,
-                                           metric=distance))
 
 
 @dataclass(frozen=True)
@@ -201,13 +138,13 @@ class IxPoint:
 
 @dataclass
 class TierLayout:
-    """The transit structure of a tiered internet, consumed by the plan.
+    """The transit structure of an internet, consumed by the plan.
 
     ``tiers`` lists provider ids per tier, tier 0 (the default-free clique)
-    first.  ``uplinks`` maps each non-core provider id to its candidate
-    :class:`TransitUplink` records; ``aggregates`` maps provider ids to the
-    /8 locator block each provider announces upward on behalf of its
-    customer cone.
+    first; a flat mesh is a single tier.  ``uplinks`` maps each non-core
+    provider id to its candidate :class:`TransitUplink` records;
+    ``aggregates`` maps provider ids to the /8 locator block each provider
+    announces upward on behalf of its customer cone.
     """
 
     tiers: tuple
@@ -216,11 +153,10 @@ class TierLayout:
     aggregates: dict = field(default_factory=dict)
 
 
-class HierarchicalRoutingPlan:
+class RoutingPlan:
     """Tiered routing: core tables + default-up chains + aggregation.
 
-    Drop-in alternative to :class:`RoutingPlan` for topologies carrying a
-    :class:`TierLayout`.  Construction computes:
+    Construction from the providers and their :class:`TierLayout` computes:
 
     - all-pairs shortest paths restricted to the **tier-0 clique** (the
       default-free core) — never over the full provider set;
@@ -244,8 +180,14 @@ class HierarchicalRoutingPlan:
     members as the default-free zone carry every such prefix.
 
     With a single tier (every provider in tier 0, no uplinks, no IXPs) the
-    installed FIBs and the :meth:`delay` answers are identical to the flat
-    :class:`RoutingPlan` — the equivalence the worldbuild tests pin down.
+    plan is all-pairs shortest paths over the provider mesh: the installed
+    FIBs equal :func:`install_mesh_routes` and :meth:`delay` equals
+    :func:`path_delay` — the equivalence the worldbuild tests pin down.
+
+    ``fingerprint`` captures the mesh the tables were computed over;
+    holders (see :meth:`~repro.net.topology.Topology.routing_plan`) compare
+    it against :func:`mesh_fingerprint` to decide whether a cached plan is
+    still valid.
     """
 
     def __init__(self, providers, layout, fingerprint=None):
@@ -377,7 +319,7 @@ class HierarchicalRoutingPlan:
         first common ancestor of the two transit chains, any IX shortcut
         between chain members, and the cross-core path between the two
         gateways.  For a single-tier layout this degenerates to the flat
-        plan's shortest-path answer.  O(chain depth) per query.
+        mesh's shortest-path delay.  O(chain depth) per query.
         """
         if source is destination:
             return 0.0
@@ -409,7 +351,9 @@ class HierarchicalRoutingPlan:
     def install(self, owned_prefixes):
         """Install FIB routes for attachments, aggregating at tier boundaries.
 
-        Same signature and idempotence as :meth:`RoutingPlan.install`.
+        ``owned_prefixes`` is ``[(prefix, owner_router, local_iface_or_None)]``
+        with the same semantics as :func:`install_mesh_routes`.  Re-installing
+        a prefix replaces the previous entry, so calls are idempotent.
         Prefixes covered by the owner's /8 aggregate collapse into it above
         the owner; everything else is installed along the owner's transit
         chain and across the core.
@@ -445,12 +389,28 @@ class HierarchicalRoutingPlan:
 def install_mesh_routes(providers, owned_prefixes):
     """Install routes among provider routers (from-scratch computation).
 
-    Kept as the reference implementation: builds a fresh
-    :class:`RoutingPlan` and installs every attachment through it.  Callers
-    on the hot path should hold a plan and use :meth:`RoutingPlan.install`
-    incrementally instead.
+    The reference implementation :class:`RoutingPlan` is checked against:
+    one Dijkstra per provider over the full mesh, then every attachment
+    installed at every provider.  ``owned_prefixes`` is
+    ``[(prefix, owner_router, local_iface_or_None)]``; the owner routes the
+    prefix out of *local_iface* (when given), every other provider toward
+    the owner.  Callers on the hot path hold a plan and use
+    :meth:`RoutingPlan.install` incrementally instead.
     """
-    RoutingPlan(providers).install(owned_prefixes)
+    adjacency = build_adjacency(providers)
+    next_hops = {router: shortest_path_next_hops(adjacency, router)
+                 for router in providers}
+    for prefix, owner, local_iface in owned_prefixes:
+        for router in providers:
+            if router is owner:
+                if local_iface is not None:
+                    router.fib.insert(FibEntry(prefix, local_iface))
+                continue
+            hop = next_hops[router].get(owner)
+            if hop is not None:
+                iface, distance = hop
+                router.fib.insert(FibEntry(prefix, iface, next_hop=owner,
+                                           metric=distance))
 
 
 def path_delay(adjacency, source, destination):

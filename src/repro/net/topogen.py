@@ -1,24 +1,26 @@
 """Topology families: declarative specs and internet-shaped generators.
 
-Every world used to be the paper's Fig. 1 flat mesh — a handful of provider
-routers in a random-delay clique with stub sites multihomed onto them.  This
-module generalizes construction behind one declarative entry point::
+The paper's Fig. 1 world is a flat mesh — a handful of provider routers in
+a random-delay clique with stub sites multihomed onto them.  This module
+builds it and larger, internet-shaped worlds behind one declarative entry
+point::
 
     spec = TopologySpec(family="tiered", num_sites=1000)
     topology = build(sim, spec)
 
 Families
 --------
-- ``"flat"``  — the historical full provider mesh (all-pairs clique).
+- ``"flat"``  — the full provider mesh: one tier, every provider in the
+  default-free core, no uplinks and no IXs.
 - ``"fig1"``  — the exact Fig. 1 scenario: two sites, providers A/B and X/Y.
 - ``"tiered"`` — a tiered internet: a tier-0 full-mesh clique (the
   default-free core), tier-1 and tier-2 transit ASes multihomed to parents
   in the tier above, internet-exchange routers where transit providers
   peer, and stub sites multihomed to tier-2 (or, when homed at an IX, to
-  providers that peer there).  Routing is hierarchical
-  (:class:`~repro.net.routing.HierarchicalRoutingPlan`): no all-pairs
-  Dijkstra over the provider set, so worldbuild stays sub-quadratic at
-  thousands of sites.
+  providers that peer there).  Routing is hierarchical: the
+  :class:`~repro.net.routing.RoutingPlan` runs no all-pairs Dijkstra over
+  the provider set, so worldbuild stays sub-quadratic at thousands of
+  sites.
 - ``"caida"`` — the tiered generator with a CAIDA-like skew preset:
   provider degree follows a power law (low-numbered providers in each tier
   act as megaproviders attracting most customers and IX seats).
@@ -32,7 +34,7 @@ routed — nothing addresses packets *to* an exchange).  Site EID and
 infrastructure prefixes are unchanged (see :mod:`repro.net.topology`).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.net.addresses import IPv4Prefix
@@ -60,7 +62,6 @@ IX_PREFIX = IPv4Prefix("9.0.0.0/8")
 class TopologySpec:
     """Everything that defines a topology, declaratively.
 
-    Replaces ``build_topology``'s grown-past-its-limit kwarg signature.
     Specs are frozen, hashable and ``astuple``-friendly, so they can ride
     inside ``ScenarioConfig`` world keys.  Fields irrelevant to a family
     are ignored (e.g. ``tier0`` for ``"flat"``, ``num_providers`` for
@@ -135,7 +136,7 @@ def build(sim, spec):
 
 
 # --------------------------------------------------------------------------- #
-# Flat family (the historical full mesh)
+# Flat family (the full mesh, a one-tier layout)
 # --------------------------------------------------------------------------- #
 
 def _build_flat(sim, spec):
@@ -159,8 +160,11 @@ def _build_flat(sim, spec):
             iface_b = providers[b].add_interface(f"to-prov{a}")
             connect(sim, iface_a, iface_b, delay=delay)
 
+    layout = TierLayout(tiers=(tuple(range(spec.num_providers)),),
+                        aggregates=dict(enumerate(provider_prefixes)))
     topology = Topology(sim=sim, providers=providers,
                         provider_prefixes=provider_prefixes, sites=[],
+                        tier_layout=layout,
                         eids_globally_routable=spec.eids_globally_routable)
     for p, router in enumerate(providers):
         topology.attachments.append((provider_prefixes[p], router, None))

@@ -1,9 +1,10 @@
-"""Multi-AS topology builder.
+"""Multi-AS topology: the world model, its site wiring and address plan.
 
-Builds the world the paper's Fig. 1 sketches: stub sites ("AS_S", "AS_D")
+Models the world the paper's Fig. 1 sketches: stub sites ("AS_S", "AS_D")
 multihomed to providers ("Provider A/B" for the source site, "X/Y" for the
 destination site), with the provider routers forming the "Internet" in the
-middle of the figure.
+middle of the figure.  :func:`repro.net.topogen.build` constructs every
+topology family from a :class:`~repro.net.topogen.TopologySpec`.
 
 Per-site wiring (all point-to-point links)::
 
@@ -38,8 +39,7 @@ from repro.net.fib import FibEntry
 from repro.net.host import Host
 from repro.net.link import connect
 from repro.net.router import Router
-from repro.net.routing import (DEFAULT_PREFIX, HierarchicalRoutingPlan,
-                               RoutingPlan, mesh_fingerprint)
+from repro.net.routing import DEFAULT_PREFIX, RoutingPlan, mesh_fingerprint
 
 # Intra-site link delays (seconds). Small against WAN delays, as in a campus.
 HOST_HUB_DELAY = 0.0001
@@ -111,17 +111,16 @@ class Topology:
     providers: list
     provider_prefixes: list
     sites: list
+    #: The :class:`~repro.net.routing.TierLayout` the routing plan follows
+    #: (see :mod:`repro.net.topogen`); flat meshes are a single tier.
+    tier_layout: object = field(repr=False)
     infra_hosts: dict = field(default_factory=dict)
     attachments: list = field(default_factory=list)
     eids_globally_routable: bool = False
-    #: :class:`~repro.net.routing.TierLayout` for tiered internets (see
-    #: :mod:`repro.net.topogen`); None keeps the flat all-pairs mesh.
-    tier_layout: object = field(default=None, repr=False)
     #: Internet-exchange routers (tiered families only).
     ix_routers: list = field(default_factory=list)
-    #: Memoized routing plan — flat :class:`~repro.net.routing.RoutingPlan`
-    #: or :class:`~repro.net.routing.HierarchicalRoutingPlan`, depending on
-    #: ``tier_layout`` (see :meth:`routing_plan`).
+    #: Memoized :class:`~repro.net.routing.RoutingPlan` (see
+    #: :meth:`routing_plan`).
     _plan: object = field(default=None, repr=False)
     #: How many ``attachments`` entries have already been installed.
     _routes_installed: int = field(default=0, repr=False)
@@ -192,18 +191,15 @@ class Topology:
         As long as the mesh routers (providers plus IXs) and their mesh
         links are unchanged — site/infrastructure attachments don't count —
         the same tables serve every install and delay query for this
-        topology.  Topologies carrying a ``tier_layout`` get a
-        :class:`~repro.net.routing.HierarchicalRoutingPlan` (core-only
-        tables, aggregation at tier boundaries); flat ones keep the
-        all-pairs :class:`~repro.net.routing.RoutingPlan`.
+        topology.  The :class:`~repro.net.routing.RoutingPlan` follows
+        ``tier_layout``: core-only tables and aggregation at tier
+        boundaries, which for a one-tier (flat) layout is all-pairs
+        shortest paths over the provider mesh.
         """
         fingerprint = mesh_fingerprint(self.mesh_routers())
         if self._plan is None or self._plan.fingerprint != fingerprint:
-            if self.tier_layout is not None:
-                self._plan = HierarchicalRoutingPlan(
-                    self.providers, self.tier_layout, fingerprint=fingerprint)
-            else:
-                self._plan = RoutingPlan(self.providers, fingerprint=fingerprint)
+            self._plan = RoutingPlan(self.providers, self.tier_layout,
+                                     fingerprint=fingerprint)
             self._routes_installed = 0  # new tables: (re)install everything
         return self._plan
 
@@ -269,39 +265,3 @@ def rloc_for(provider_id, site_index, xtr_index):
         f"{10 + provider_id}.{1 + (site_index >> 8)}.{site_index & 255}.{xtr_index + 1}"
     )
 
-
-def build_topology(sim, num_sites=2, num_providers=4, providers_per_site=2,
-                   hosts_per_site=2, wan_delay_range=(0.010, 0.040),
-                   access_delay_range=(0.001, 0.005), access_rate_bps=None,
-                   eids_globally_routable=False,
-                   provider_assignment=None, rng_stream="topology"):
-    """Build the flat (full provider mesh) topology family.
-
-    Thin compat wrapper: the kwargs map 1:1 onto a flat-family
-    :class:`~repro.net.topogen.TopologySpec`, and construction happens in
-    :func:`repro.net.topogen.build` — the single entry point every family
-    shares.  New callers should build a spec directly.
-    """
-    from repro.net.topogen import TopologySpec, build
-    spec = TopologySpec(
-        family="flat", num_sites=num_sites, num_providers=num_providers,
-        providers_per_site=providers_per_site, hosts_per_site=hosts_per_site,
-        wan_delay_range=wan_delay_range, access_delay_range=access_delay_range,
-        access_rate_bps=access_rate_bps,
-        eids_globally_routable=eids_globally_routable,
-        provider_assignment=provider_assignment, rng_stream=rng_stream)
-    return build(sim, spec)
-
-
-def build_fig1_topology(sim, **overrides):
-    """The exact Fig. 1 scenario: two sites, two providers each.
-
-    Site 0 ("AS_S") homes to providers A(10/8) and B(11/8); site 1 ("AS_D")
-    homes to providers X(12/8) and Y(13/8).  Compat wrapper over the
-    ``"fig1"`` :class:`~repro.net.topogen.TopologySpec` family.
-    """
-    from repro.net.topogen import TopologySpec, build
-    params = dict(num_sites=2, num_providers=4, providers_per_site=2,
-                  hosts_per_site=2, provider_assignment=((0, 1), (2, 3)))
-    params.update(overrides)
-    return build(sim, TopologySpec(family="fig1", **params))

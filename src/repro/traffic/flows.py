@@ -13,7 +13,6 @@ from typing import Optional
 
 from repro.net.addresses import IPv4Address
 from repro.net.packet import PROTO_TCP, TCP_ACK, TCP_SYN, tcp_packet, udp_packet
-from repro.traffic.popularity import FlowPlan
 
 #: Classic initial TCP retransmission timeout (RFC 1122 era: 1 second was
 #: common in 2008-vintage stacks; RFC 6298 later said 1 s as well).
@@ -232,15 +231,15 @@ class UdpSink:
 
 
 def send_flow(sim, host, destination, port, record, plan):
-    """Process: emit one flow's datagrams on its :class:`FlowPlan` schedule.
+    """Process: emit one flow's datagrams on *plan*'s schedule.
 
-    The plan's byte budget and pacing kind are written onto *record*
-    (``bytes_budget``, ``flow_kind``) and every handed-off datagram
-    advances ``bytes_sent``, so flow-level byte accounting lines up with
-    the per-link accounting in :mod:`repro.net.link`.  A zero-spacing plan
-    (a shaped mouse) sends its whole burst back-to-back within one event;
-    positive spacing yields between packets exactly like the historical
-    constant-spacing sender.
+    *plan* is a :class:`~repro.traffic.popularity.FlowPlan`.  Its byte
+    budget and pacing kind are written onto *record* (``bytes_budget``,
+    ``flow_kind``) and every handed-off datagram advances ``bytes_sent``,
+    so flow-level byte accounting lines up with the per-link accounting in
+    :mod:`repro.net.link`.  A zero-spacing plan (a shaped mouse) sends its
+    whole burst back-to-back within one event; positive spacing yields
+    between packets at a constant pace.
 
     The first packet's fate list ends up in ``record.first_packet_fates``
     so experiment E1 can classify it (dropped / queued / carried over CP /
@@ -360,11 +359,3 @@ def _send_fluid(sim, host, destination, port, record, plan):
 
     return sim.process(_send(), name=f"{host.name}-fluid-{record.flow_id}")
 
-
-def send_udp_burst(sim, host, destination, port, record, count_packets=5,
-                   payload_bytes=1000, spacing=0.001):
-    """Process: emit a constant-spacing burst (compat wrapper over
-    :func:`send_flow`)."""
-    plan = FlowPlan(packets=count_packets, payload_bytes=payload_bytes,
-                    spacing=spacing, kind="constant")
-    return send_flow(sim, host, destination, port, record, plan)

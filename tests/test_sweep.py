@@ -11,7 +11,7 @@ import pytest
 from repro.cli import main
 from repro.experiments.sweep import (PRESETS, SweepGrid, aggregate_cells,
                                      expand_grid, payload_digest, run_cell,
-                                     run_sweep, write_csv, write_csv_stream)
+                                     run_sweep, write_csv_stream)
 
 TINY = SweepGrid(name="tiny", control_planes=("pce", "alt"), site_counts=(3,),
                  seeds=(1, 2), zipf_values=(1.0,), num_flows=8,
@@ -167,7 +167,7 @@ def test_write_csv_stream_reorders_by_index(tmp_path):
     payload = run_sweep(TINY, workers=1)
     sorted_path = tmp_path / "sorted.csv"
     shuffled_path = tmp_path / "shuffled.csv"
-    write_csv(payload, str(sorted_path))
+    write_csv_stream(iter(payload["cells"]), str(sorted_path))
     shuffled = list(payload["cells"])
     random.Random(9).shuffle(shuffled)
     write_csv_stream(iter(shuffled), str(shuffled_path))

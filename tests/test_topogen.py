@@ -3,9 +3,9 @@
 import pytest
 
 from repro.net.addresses import IPv4Address, IPv4Prefix
-from repro.net.routing import HierarchicalRoutingPlan, RoutingPlan
+from repro.net.routing import RoutingPlan
 from repro.net.topogen import IX_PREFIX, MAX_PROVIDERS, TopologySpec, build
-from repro.net.topology import build_fig1_topology, build_topology
+from repro.net.topology import provider_prefix_for
 from repro.sim import Simulator
 
 
@@ -27,7 +27,7 @@ def _tiered(seed=11, **spec_kwargs):
 
 
 # --------------------------------------------------------------------- #
-# TopologySpec and compat wrappers
+# TopologySpec and the flat families
 # --------------------------------------------------------------------- #
 
 def test_spec_rejects_unknown_family():
@@ -50,30 +50,28 @@ def test_spec_family_defaults_for_attach_bias():
                         stub_attach_bias=0.5).effective_bias() == 0.5
 
 
-def test_build_topology_wrapper_matches_spec_build():
-    """The legacy kwarg entry point is a pure veneer over build(spec)."""
-    legacy = build_topology(Simulator(seed=7, tracing=False),
-                            num_sites=4, num_providers=5)
-    spec = TopologySpec(family="flat", num_sites=4, num_providers=5)
-    fresh = build(Simulator(seed=7, tracing=False), spec)
-    assert _world_snapshot(legacy) == _world_snapshot(fresh)
-
-
-def test_fig1_wrapper_matches_spec_build():
-    legacy = build_fig1_topology(Simulator(seed=7, tracing=False))
+def test_fig1_family_is_the_fig1_cast():
     fresh = build(Simulator(seed=7, tracing=False),
-                  TopologySpec(family="fig1"))
-    assert _world_snapshot(legacy) == _world_snapshot(fresh)
+                  TopologySpec(family="fig1", num_sites=5))
+    assert len(fresh.sites) == 2
     assert fresh.site_s is fresh.sites[0]
     assert fresh.site_d is fresh.sites[1]
     assert fresh.site_s.provider_ids == [0, 1]
     assert fresh.site_d.provider_ids == [2, 3]
 
 
-def test_flat_family_has_no_tier_structure():
+@pytest.mark.parametrize("family", ("flat", "fig1"))
+def test_flat_family_has_no_tier_structure(family):
+    """Flat meshes are a one-tier layout: every provider in the core, each
+    announcing its own /8, with no uplinks and no IXs."""
     sim = Simulator(seed=3, tracing=False)
-    topology = build(sim, TopologySpec(family="flat", num_sites=3))
-    assert topology.tier_layout is None
+    topology = build(sim, TopologySpec(family=family, num_sites=3))
+    layout = topology.tier_layout
+    assert layout.tiers == (tuple(range(len(topology.providers))),)
+    assert layout.uplinks == {}
+    assert layout.ixps == ()
+    assert layout.aggregates == {p: provider_prefix_for(p)
+                                 for p in range(len(topology.providers))}
     assert topology.ix_routers == []
     assert isinstance(topology.routing_plan(), RoutingPlan)
 
@@ -182,7 +180,7 @@ def test_address_plan_extension():
 def test_tiered_routing_is_hierarchical_and_complete():
     topology = _tiered()
     plan = topology.routing_plan()
-    assert isinstance(plan, HierarchicalRoutingPlan)
+    assert len(topology.tier_layout.tiers) == 3
     for a in topology.providers:
         for b in topology.providers:
             delay = plan.delay(a, b)

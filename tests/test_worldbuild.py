@@ -6,14 +6,13 @@ import pytest
 
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.sweep import (SweepGrid, expand_grid, payload_digest,
-                                     read_jsonl, run_cell, run_sweep)
+                                     iter_jsonl, run_cell, run_sweep)
 from repro.experiments.workload import WorkloadConfig, run_workload
 from repro.experiments.worldbuild import (WorldBuilder, build_world,
                                           restore_world, world_key)
-from repro.net.routing import (HierarchicalRoutingPlan, TierLayout,
-                               build_adjacency, install_mesh_routes,
+from repro.net.routing import (build_adjacency, install_mesh_routes,
                                mesh_fingerprint, path_delay)
-from repro.net.topology import build_topology, provider_prefix_for
+from repro.net.topogen import TopologySpec, build
 from repro.sim import Simulator
 
 
@@ -27,10 +26,13 @@ def _fib_snapshot(router):
 # RoutingPlan
 # --------------------------------------------------------------------- #
 
-def test_incremental_install_matches_from_scratch():
-    """Incrementally-installed routes == one-shot full computation."""
+@pytest.mark.parametrize("family", ("flat", "fig1"))
+def test_incremental_install_matches_from_scratch(family):
+    """A one-tier layout's incrementally-installed routes == the
+    from-scratch all-pairs Dijkstra reference (iface, next hop, metric)."""
     sim = Simulator(seed=5, tracing=False)
-    topology = build_topology(sim, num_sites=6, num_providers=5)
+    topology = build(sim, TopologySpec(family=family, num_sites=6,
+                                       num_providers=5))
     # The build itself is incremental (site attachments, then DNS would
     # add more); attach another host and install only the delta.
     topology.attach_infra_host(2, "extra", "203.0.200.9")
@@ -46,7 +48,7 @@ def test_incremental_install_matches_from_scratch():
 
 def test_routing_plan_is_memoized():
     sim = Simulator(seed=5, tracing=False)
-    topology = build_topology(sim, num_sites=3, num_providers=4)
+    topology = build(sim, TopologySpec(num_sites=3, num_providers=4))
     plan = topology.routing_plan()
     topology.attach_infra_host(0, "late-host", "203.0.200.10")
     topology.install_global_routes()
@@ -56,7 +58,7 @@ def test_routing_plan_is_memoized():
 
 def test_mesh_change_invalidates_plan():
     sim = Simulator(seed=5, tracing=False)
-    topology = build_topology(sim, num_sites=2, num_providers=4)
+    topology = build(sim, TopologySpec(num_sites=2, num_providers=4))
     plan = topology.routing_plan()
     a, b = topology.providers[0], topology.providers[1]
     a.interfaces["to-prov1"].link.delay *= 2  # mesh edge changed
@@ -64,20 +66,27 @@ def test_mesh_change_invalidates_plan():
     assert topology.routing_plan() is not plan
 
 
-def test_plan_delay_matches_dijkstra():
+@pytest.mark.parametrize("family", ("flat", "fig1"))
+def test_plan_delay_matches_dijkstra(family):
+    """A one-tier layout's delay() == the from-scratch Dijkstra reference,
+    and its fingerprint is the mesh's, late attachments notwithstanding."""
     sim = Simulator(seed=9, tracing=False)
-    topology = build_topology(sim, num_sites=2, num_providers=6)
+    topology = build(sim, TopologySpec(family=family, num_sites=2,
+                                       num_providers=6))
+    topology.attach_infra_host(1, "root-dns", "203.0.113.5")
+    topology.install_global_routes()
     plan = topology.routing_plan()
+    assert plan.fingerprint == mesh_fingerprint(topology.providers)
     adjacency = build_adjacency(topology.providers)
     for source in topology.providers:
         for destination in topology.providers:
-            assert plan.delay(source, destination) == pytest.approx(
-                path_delay(adjacency, source, destination))
+            assert plan.delay(source, destination) == path_delay(
+                adjacency, source, destination)
 
 
 def test_plan_install_is_idempotent():
     sim = Simulator(seed=3, tracing=False)
-    topology = build_topology(sim, num_sites=3, num_providers=4)
+    topology = build(sim, TopologySpec(num_sites=3, num_providers=4))
     before = [_fib_snapshot(p) for p in topology.providers]
     topology.routing_plan().install(topology.attachments)
     assert [_fib_snapshot(p) for p in topology.providers] == before
@@ -314,7 +323,7 @@ def test_sweep_reuses_worlds_and_streams_jsonl(tmp_path):
              jsonl_path.read_text().strip().splitlines()]
     assert {line["world"] for line in lines} == {"hit", "miss"}
     # ...and reading it back (outcome stripped) is exactly the payload.
-    assert sorted(read_jsonl(str(jsonl_path)), key=lambda r: r["index"]) \
+    assert sorted(iter_jsonl(str(jsonl_path)), key=lambda r: r["index"]) \
         == serial["cells"]
 
 
@@ -421,36 +430,8 @@ def test_failure_cells_reuse_cleanly():
 
 
 # --------------------------------------------------------------------- #
-# Hierarchical routing: equivalence, reuse, sweep determinism
+# Hierarchical routing: reuse, sweep determinism
 # --------------------------------------------------------------------- #
-
-def test_single_tier_hierarchical_plan_equals_flat_plan():
-    """One tier, no uplinks, no IXPs: the hierarchical plan degenerates to
-    the flat all-pairs plan — identical FIBs (iface, next hop, metric)
-    and identical delay() answers."""
-    sim = Simulator(seed=17, tracing=False)
-    topology = build_topology(sim, num_sites=5, num_providers=6)
-    topology.attach_infra_host(1, "root-dns", "203.0.113.5")
-    topology.install_global_routes()  # flat RoutingPlan did this install
-    flat_plan = topology.routing_plan()
-    flat_fibs = [_fib_snapshot(p) for p in topology.providers]
-
-    layout = TierLayout(
-        tiers=(tuple(range(len(topology.providers))),),
-        uplinks={}, ixps=(),
-        aggregates={p: provider_prefix_for(p)
-                    for p in range(len(topology.providers))})
-    hier_plan = HierarchicalRoutingPlan(topology.providers, layout)
-    for provider in topology.providers:
-        provider.fib.clear()
-    hier_plan.install(topology.attachments)
-
-    assert [_fib_snapshot(p) for p in topology.providers] == flat_fibs
-    for a in topology.providers:
-        for b in topology.providers:
-            assert hier_plan.delay(a, b) == flat_plan.delay(a, b)
-    assert hier_plan.fingerprint == flat_plan.fingerprint
-
 
 def _tiered_cell(control_plane="pce"):
     grid = SweepGrid(control_planes=(control_plane,), topologies=("tiered",),
@@ -481,8 +462,8 @@ def test_restored_tiered_world_keeps_hierarchical_routing():
     run_workload(scenario, WorkloadConfig(num_flows=6, arrival_rate=10.0))
     restore_world(scenario)
     restored = scenario.topology
-    assert isinstance(restored.routing_plan(), HierarchicalRoutingPlan)
-    assert restored.tier_layout is not None
+    assert restored.routing_plan().layout is restored.tier_layout
+    assert len(restored.tier_layout.tiers) == 3
     assert restored.ix_routers
 
 
